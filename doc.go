@@ -109,17 +109,22 @@
 // (sparql.RunSharded) routes each prepared query by placement: a
 // single-BGP subject star pushes down whole to each shard when the
 // placement co-located subjects (verified at build time, not assumed),
-// with no cross-shard join; everything else scatters per pattern and
-// folds the gathered matches with the single-graph id-space hash
-// joins. Shards whose indexes cannot contribute a candidate are pruned
-// unscanned (the vertical/semantic payoff), reported through
-// ExplainShards and the /stats sharding block. Determinism contract:
-// shards preserve dataset insertion order, every triple's global
-// position keys the k-way gather merge, and the plan compiles from the
-// summed global statistics — so sharded output is byte-identical (rows
-// and order) to a single-graph run at any shard count and parallelism,
-// pinned by the cross-strategy determinism suite under the race
-// detector. rdfserve -shards N -partition <name> serves it;
+// with no cross-shard join; everything else runs scatter-gather,
+// pattern by pattern. The seed pattern scans its extent on every shard;
+// each later pattern that shares a variable with the rows bound so far
+// is a bind probe — each shard receives the whole batch of those rows
+// and extends them, the single-graph bind join batched per shard —
+// while a pattern sharing none (a cartesian factor) is scanned once and
+// joined into the rows. Shards whose indexes cannot
+// contribute a candidate are pruned unscanned (the vertical/semantic
+// payoff), reported through ExplainShards and the /stats sharding
+// block. Determinism contract: shards preserve dataset insertion order,
+// every triple's global position keys the k-way gather merge (a probe
+// keys on input row, then position: the single-graph row-major order),
+// and the plan compiles from the summed global statistics — so sharded
+// output is byte-identical (rows and order) to a single-graph run at
+// any shard count and parallelism, pinned by the cross-strategy
+// determinism suites under the race detector. rdfserve -shards N -partition <name> serves it;
 // rdfbench -shards compares strategies by end-to-end query latency.
 //
 // The server itself holds one read-only rdf.Graph (single-writer/

@@ -154,3 +154,56 @@ func BenchmarkShardedTailLatency(b *testing.B) {
 		run(b, sparql.WithHedge(sparql.HedgePolicy{Delay: 200 * time.Microsecond}))
 	})
 }
+
+// BenchmarkShardedScoped tracks the scatter-gather route on the
+// department-scoped serving shapes — a linear path and a triangle, each
+// seeded by one department constant — against the single-graph
+// evaluator. The seed binds a few dozen rows, so every later pattern
+// costs far less as a bind probe per shard than as a scan of its whole
+// extent.
+func BenchmarkShardedScoped(b *testing.B) {
+	triples := workload.GenerateUniversity(workload.MediumUniversity())
+	sg, err := BuildByName(triples, "hash-subject", 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := rdf.NewGraph(triples)
+	g.Encoded()
+	g.Stats()
+	dept := "<" + workload.UnivNS + "univ0.dept0>"
+	u := func(local string) string { return "<" + workload.UnivNS + local + ">" }
+	queries := []struct{ name, text string }{
+		{"dept-linear", `SELECT ?s ?p ?pn WHERE { ?s ` + u("memberOf") + ` ` + dept + ` . ?s ` + u("advisor") + ` ?p . ?p ` + u("name") + ` ?pn }`},
+		{"dept-triangle", `SELECT ?s ?p ?c WHERE { ?s ` + u("memberOf") + ` ` + dept + ` . ?s ` + u("advisor") + ` ?p . ?p ` + u("teacherOf") + ` ?c . ?s ` + u("takesCourse") + ` ?c }`},
+	}
+	ctx := context.Background()
+	for _, q := range queries {
+		sp, err := sg.Prepare(q.text)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if route := sp.ExplainShards().Route; route != sparql.RouteScatter {
+			b.Fatalf("%s routed %s, want scatter-gather", q.name, route)
+		}
+		prep, err := sparql.Prepare(q.text)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(q.name+"/scatter-4shards", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sp.Run(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(q.name+"/single-graph", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := prep.Run(ctx, g); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -18,7 +18,17 @@
 //     merges are deterministic and (*Prepared).Run output is
 //     byte-identical — rows and order — to a single-graph
 //     sparql.Prepared.Run over the same data, at any shard count and
-//     any parallelism.
+//     any parallelism. A scan merges on global position; a bind probe
+//     (each shard extends the whole batch of rows bound so far) merges
+//     on (input row, global position), the single-graph bind join's
+//     row-major order.
+//   - Scatter-gather: the seed pattern scans its extent on every shard
+//     with candidates; each later pattern that shares a variable with
+//     the rows bound so far is a bind probe, and one that shares none
+//     (a cartesian factor) is scanned once and joined into the rows.
+//     Probes and scans go only to shards whose
+//     indexes hold candidates, so touched/pruned counts match
+//     ExplainShards.
 //   - Pushdown soundness: a single-BGP query whose patterns all share
 //     one subject variable pushes down whole to each shard exactly
 //     when the placement co-located every subject's triples

@@ -25,9 +25,9 @@ import (
 //     untouched.
 //   - Global-position merge: each shard preserves the original relative
 //     order of its triples, and ShardSet.Pos records every triple's
-//     position in the full dataset's insertion order. Per-shard match
-//     lists are therefore already sorted by global position, and a
-//     deterministic k-way merge on that key reproduces the exact
+//     position in the full dataset's insertion order. Every index view
+//     a shard scans is therefore already sorted by global position, and
+//     a deterministic k-way merge on that key reproduces the exact
 //     candidate order a single-graph index scan would visit.
 //
 // Two routes exploit placement the way the survey says real systems
@@ -41,11 +41,19 @@ import (
 //     merge by the seed triple's global position. Soundness: every
 //     triple of a result star shares the star's subject, so the star's
 //     shard holds all of them and no other shard holds any.
-//   - Scatter-gather: general queries scatter each compiled pattern to
-//     the shards, gather the per-pattern matches in global order, and
-//     fold them with the single-graph id-space hash joins (the eval.go
-//     build/probe invariants), so OPTIONAL / UNION / FILTER and the
-//     whole modifier pipeline run unchanged above the scatter.
+//   - Scatter-gather: every other BGP evaluates pattern by pattern in
+//     the single-graph plan order. The seed pattern scans its extent on
+//     each shard. Each later pattern that shares a variable with the
+//     rows bound so far is a bind probe: every shard receives the whole
+//     batch of those rows and extends each by its matching triples, the
+//     single-graph bind join batched per shard (FedX's bound joins). A
+//     later pattern that shares no variable (a cartesian factor) has
+//     nothing to bind, so its extent is scanned once and joined into
+//     the rows with the single-graph joinRows (nested loop). Probe
+//     output rows are keyed (input row, global position) and merged on
+//     that key, which is exactly the single-graph order: row-major, then
+//     index order within a row. OPTIONAL / UNION / FILTER and the whole
+//     modifier pipeline run unchanged above the BGPs.
 //
 // Both routes prune shards that cannot contribute: a shard whose
 // indexes hold no candidates for a pattern (its predicate or class
@@ -107,8 +115,10 @@ type ShardStats struct {
 	// ShardsPruned counts the shards skipped because their indexes
 	// could not contribute a candidate (Shards - ShardsTouched).
 	ShardsPruned int
-	// ScatterPatterns counts the triple patterns scattered across
-	// shards (0 on the pushdown route).
+	// ScatterPatterns counts the triple patterns sent to the shards on
+	// the scatter-gather route, scans and bind probes alike: one per
+	// pattern evaluated (0 on the pushdown route). A BGP that empties
+	// stops early and sends fewer.
 	ScatterPatterns int
 }
 
@@ -247,8 +257,8 @@ type distEnv struct {
 	env     *evalEnv
 	ss      *ShardSet
 	route   ShardRoute
-	touched []bool // shard s contributed at least one candidate scan
-	scatter int    // patterns scattered across shards
+	touched []bool // shard s ran at least one scan, probe or pushdown
+	scatter int    // patterns sent to the shards (scans and probes)
 	bgpSeq  int
 
 	// Fault handling (replica.go): the run's injection plan (nil
@@ -359,10 +369,16 @@ func (o *runOpts) captureShard(d *distEnv) {
 }
 
 // evalBGP evaluates one BGP over the shards: the pushdown route when
-// the run qualified, otherwise per-pattern scatter folded with the
-// single-graph join engine. The plan is compiled from the global
-// statistics, so pattern order — and with it row order — is exactly
-// the single-graph plan's.
+// the run qualified, otherwise pattern by pattern on the scatter-gather
+// route. The plan is compiled from the global statistics, so pattern
+// order — and with it row order — is exactly the single-graph plan's.
+//
+// On scatter-gather the seed pattern scans its extent on every shard
+// that holds candidates. Each later pattern that shares a variable
+// with the rows bound so far probes the shards with the whole batch of
+// those rows (a bind join, like the single-graph loop). A later
+// pattern that shares none scans its extent once and joins it with the
+// rows: a probe would rescan the same extent once per row.
 func (d *distEnv) evalBGP(b BGP) []slotRow {
 	seq := d.bgpSeq
 	d.bgpSeq++
@@ -376,20 +392,35 @@ func (d *distEnv) evalBGP(b BGP) []slotRow {
 		return d.pushdownBGP(cps, max)
 	}
 	env := d.env
-	rows := []slotRow{env.emptyRow()}
-	for _, cp := range cps {
-		// The hint is only sound on the gather that directly emits the
-		// final row sequence — a single-pattern BGP. Joins above a
-		// truncated gather could need the dropped matches.
-		scanMax := 0
-		if len(cps) == 1 {
-			scanMax = max
+	empty := []slotRow{env.emptyRow()}
+	rows := empty
+	counts := make([]int, len(d.ss.Views))
+	for i, cp := range cps {
+		// Pruning peeks at the primary views; replicas hold identical
+		// triples, so the peek is valid for whichever replica serves.
+		for s, view := range d.ss.Views {
+			counts[s] = viewCandidateCount(view, cp)
 		}
-		matches := d.scatterPattern(cp, scanMax)
-		if env.err != nil {
-			return nil
+		// The hint is only sound on a gather that directly emits the
+		// final row sequence: the last pattern's probe, or the seed of a
+		// single-pattern BGP. A join above a truncated scan could need
+		// the dropped matches.
+		limit := 0
+		if i == len(cps)-1 {
+			limit = max
 		}
-		rows = env.joinRows(rows, matches)
+		switch {
+		case i == 0:
+			rows = d.gatherPattern(cp, empty, false, counts, limit)
+		case bindsAny(cp, rows[0]):
+			rows = d.gatherPattern(cp, rows, true, counts, limit)
+		default:
+			matches := d.gatherPattern(cp, empty, false, counts, 0)
+			if env.err != nil {
+				return nil
+			}
+			rows = env.joinRows(rows, matches)
+		}
 		if env.err != nil {
 			return nil
 		}
@@ -398,6 +429,17 @@ func (d *distEnv) evalBGP(b BGP) []slotRow {
 		}
 	}
 	return rows
+}
+
+// bindsAny reports whether row binds one of cp's variables. Every row
+// of a BGP binds the same slots, so one row answers for the batch.
+func bindsAny(cp cPattern, row slotRow) bool {
+	for _, s := range cp.slots {
+		if row[s] != unboundID {
+			return true
+		}
+	}
+	return false
 }
 
 // planFor compiles (or recalls) the selectivity-ordered plan of the
@@ -588,13 +630,14 @@ func pickReplica(h *ReplicaHealth, s int, tried []bool) int {
 	return -1
 }
 
-// shardOp is one per-shard operation body — a pattern scan or a
-// pushdown BGP — run against a worker environment whose view is
-// already pointed at the serving replica. Returning the output buffers
-// (instead of writing shared state) is what lets hedged attempts race:
-// racing copies compute into private buffers, and only the winning
-// attempt's return value is committed by runShardOp's caller.
-type shardOp func(w *evalEnv) ([]slotRow, []int32)
+// shardOp is one per-shard operation body — a pattern scan, a bind
+// probe, or a pushdown BGP — run against a worker environment whose
+// view is already pointed at the serving replica. It returns rows with
+// their merge keys. Returning the output buffers (instead of writing
+// shared state) is what lets hedged attempts race: racing copies
+// compute into private buffers, and only the winning attempt's return
+// value is committed by runShardOp's caller.
+type shardOp func(w *evalEnv) ([]slotRow, []int64)
 
 // numTried counts the replicas already failed this pass.
 func numTried(tried []bool) int {
@@ -654,26 +697,26 @@ func (d *distEnv) fatalAttemptErr(err error) bool {
 	return false
 }
 
-// runShardOp executes one per-shard operation (a pattern scan or a
-// pushdown BGP) fault-tolerantly and returns its output: the op runs
-// against a replica of shard s chosen by the circuit breakers and
-// straggler scores, with injected or returned failures — and recovered
-// panics — failing over immediately to the next replica; full passes
-// over the replica set are separated by capped exponential backoff
-// charged against the context's remaining deadline, and each attempt
-// is granted a bounded slice of that deadline (attemptSlice). With a
-// hedge policy armed (WithHedge) and more than one replica, an attempt
-// that outlives the hedge delay races a second copy on the next-best
-// replica — first success wins, the loser is cancelled through its
-// taskStop claim. The op gives up, latching a PartialFailureError
-// naming the shard into the worker's error, only after every replica
-// failed in retry.Cycles consecutive passes. Cancellation is never
-// retried.
+// runShardOp executes one per-shard operation (a pattern scan, a bind
+// probe, or a pushdown BGP) fault-tolerantly and returns its output:
+// the op runs against a replica of shard s chosen by the circuit
+// breakers and straggler scores, with injected or returned failures —
+// and recovered panics — failing over immediately to the next
+// replica; full passes over the replica set are separated by capped
+// exponential backoff charged against the context's remaining
+// deadline, and each attempt is granted a bounded slice of that
+// deadline (attemptSlice). With a hedge policy armed (WithHedge) and
+// more than one replica, an attempt that outlives the hedge delay
+// races a second copy on the next-best replica — first success wins,
+// the loser is cancelled through its taskStop claim. The op gives up,
+// latching a PartialFailureError naming the shard into the worker's
+// error, only after every replica failed in retry.Cycles consecutive
+// passes. Cancellation is never retried.
 //
 // Failover and hedging are invisible in results because every replica
 // of a shard yields byte-identical scans (ShardSet.Replicas) and
 // exactly one attempt's returned buffers are committed.
-func (d *distEnv) runShardOp(s, class int, w *evalEnv, op shardOp) ([]slotRow, []int32) {
+func (d *distEnv) runShardOp(s, class int, w *evalEnv, op shardOp) ([]slotRow, []int64) {
 	views := d.replicaViews(s)
 	if d.plan == nil && len(views) == 1 {
 		// Nothing to inject and nothing to fail over to — but panics
@@ -755,7 +798,7 @@ func (d *distEnv) runShardOp(s, class int, w *evalEnv, op shardOp) ([]slotRow, [
 // derived environment carrying the sliced context and no parRun — so a
 // slice expiring mid-scan stops only this attempt instead of raising
 // the run-wide stop latch.
-func (d *distEnv) attemptSliced(w *evalEnv, view *rdf.EncodedView, s, r, attemptsLeft int, op shardOp) ([]slotRow, []int32, error) {
+func (d *distEnv) attemptSliced(w *evalEnv, view *rdf.EncodedView, s, r, attemptsLeft int, op shardOp) ([]slotRow, []int64, error) {
 	slice := d.attemptSlice(attemptsLeft)
 	if slice <= 0 {
 		return d.attemptShardOp(w, view, s, r, op)
@@ -777,11 +820,11 @@ func (d *distEnv) attemptSliced(w *evalEnv, view *rdf.EncodedView, s, r, attempt
 // (done=true, with w.err latched). When every racing attempt fails
 // non-fatally the pass reports done=false and the caller's retry loop
 // picks the next replica.
-func (d *distEnv) racedAttempt(w *evalEnv, views []*rdf.EncodedView, s, primary, class, attemptsLeft int, tried []bool, lastFailed *int, hedgeWait time.Duration, op shardOp) ([]slotRow, []int32, bool) {
+func (d *distEnv) racedAttempt(w *evalEnv, views []*rdf.EncodedView, s, primary, class, attemptsLeft int, tried []bool, lastFailed *int, hedgeWait time.Duration, op shardOp) ([]slotRow, []int64, bool) {
 	h := d.ss.Health
 	type attemptRes struct {
 		rows []slotRow
-		tags []int32
+		tags []int64
 		err  error
 		r    int
 		dur  time.Duration
@@ -875,7 +918,7 @@ func (d *distEnv) racedAttempt(w *evalEnv, views []*rdf.EncodedView, s, primary,
 // returned errors. A latched worker error (cancellation observed
 // mid-scan) surfaces as the attempt's error; successful attempts
 // return the op's private output buffers.
-func (d *distEnv) attemptShardOp(w *evalEnv, view *rdf.EncodedView, s, replica int, op shardOp) (rows []slotRow, tags []int32, err error) {
+func (d *distEnv) attemptShardOp(w *evalEnv, view *rdf.EncodedView, s, replica int, op shardOp) (rows []slotRow, tags []int64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if w.ftally != nil {
@@ -926,43 +969,51 @@ func (d *distEnv) backoff(cycle int) error {
 	}
 }
 
-// scatterPattern gathers one pattern's full match set from every shard
-// that can contribute, merged by global triple position — exactly the
-// rows, in exactly the order, a single-graph scan of the pattern would
-// produce. The gathered rows feed the global id-space hash joins.
-// max > 0 caps each shard's scan (LIMIT pushdown): the merged leading
-// max rows draw only from per-shard prefixes of at most max rows.
-func (d *distEnv) scatterPattern(cp cPattern, max int) []slotRow {
+// gatherPattern evaluates one pattern on every shard whose pruning
+// peek (counts) is non-zero and k-way merges the per-shard outputs by
+// (input row, global triple position) — exactly the rows, in exactly
+// the order, the single-graph bind join would produce from in. in is
+// either the batch of rows bound so far (probe) or the single empty row
+// (a scan of the pattern's whole extent). max > 0 caps each shard's
+// output (LIMIT pushdown): the merged leading max rows draw only from
+// per-shard prefixes of at most max rows.
+func (d *distEnv) gatherPattern(cp cPattern, in []slotRow, probe bool, counts []int, max int) []slotRow {
 	d.scatter++
 	env := d.env
-	sp := env.span("scatter")
+	name, class := "scatter", opClassScan
+	if probe {
+		name, class = "probe", opClassProbe
+	}
+	sp := env.span(name)
 	defer env.endSpan(sp)
 	var retries0, failovers0 int64
 	if sp != nil {
 		sp.SetInt("pattern", int64(cp.src))
 		sp.SetInt("est", int64(cp.est))
-		// Scatters run one at a time on the driver, so the run-tally
-		// deltas across this op are exactly its own retries/failovers.
+		if probe {
+			sp.SetInt("rows_in", int64(len(in)))
+		}
+		// Gathers run one at a time on the run's own goroutine, so the
+		// run-tally deltas across this op are exactly its own
+		// retries/failovers.
 		retries0 = env.ftally.retries.Load()
 		failovers0 = env.ftally.failovers.Load()
 	}
 	nsh := len(d.ss.Views)
 	outs := make([][]slotRow, nsh)
-	tags := make([][]int32, nsh)
+	tags := make([][]int64, nsh)
 	scanned := 0
-	// Pruning peeks at the primary view; replicas hold identical
-	// triples, so the peek is valid for whichever replica serves.
 	d.forEachShard(
 		func(s int) bool {
-			if viewCandidateCount(d.ss.Views[s], cp) == 0 {
+			if counts[s] == 0 {
 				return false
 			}
 			scanned++
 			return true
 		},
 		func(s int, w *evalEnv) {
-			outs[s], tags[s] = d.runShardOp(s, opClassScan, w, func(w *evalEnv) ([]slotRow, []int32) {
-				return scanShard(w, cp, d.ss.Pos, max)
+			outs[s], tags[s] = d.runShardOp(s, class, w, func(w *evalEnv) ([]slotRow, []int64) {
+				return probeShard(w, cp, in, d.ss.Pos, max)
 			})
 		})
 	if d.env.err != nil {
@@ -982,40 +1033,58 @@ func (d *distEnv) scatterPattern(cp cPattern, max int) []slotRow {
 			sp.SetInt("failovers", n)
 		}
 	}
+	if probe {
+		// The probe output replaces the hash join's output batch, so it
+		// is charged like one — whether or not the merge below copies.
+		total := 0
+		for _, o := range outs {
+			total += len(o)
+		}
+		env.chargeRowBatch(total, stageJoin)
+		if env.err != nil {
+			return nil
+		}
+	}
 	merged := mergeTagged(d.env, outs, tags)
 	sp.SetInt("rows", int64(len(merged)))
 	return merged
 }
 
-// scanShard scans one shard for a pattern's matches from the empty row,
-// returning each match row with its global triple position. The shard
-// preserves dataset insertion order, so the returned tags ascend.
-// max > 0 stops the scan once that many rows exist.
-func scanShard(w *evalEnv, cp cPattern, pos map[rdf.EncodedTriple]int32, max int) ([]slotRow, []int32) {
-	empty := w.emptyRow()
+// probeShard is the bind join of single-graph evalBGP run against one
+// shard for a whole batch of rows: every extension of rows[i] by a
+// shard triple t matching cp, tagged with the merge key (i, Pos[t]).
+// Each index view keeps the shard's insertion order, so the keys
+// ascend. From the single empty row it is a plain scan of the pattern.
+// max > 0 stops the probe once that many rows exist.
+func probeShard(w *evalEnv, cp cPattern, rows []slotRow, pos map[rdf.EncodedTriple]int32, max int) ([]slotRow, []int64) {
 	scratch := w.emptyRow()
-	ps := w.preparePatternScan(cp, empty)
-	if ps.miss {
-		return nil, nil
-	}
-	var rows []slotRow
-	var tags []int32
-	for _, t := range ps.candidates {
+	var out []slotRow
+	var tags []int64
+	for i, row := range rows {
 		if w.interrupted() {
 			return nil, nil
 		}
-		if !ps.matches(t) {
+		ps := w.preparePatternScan(cp, row)
+		if ps.miss {
 			continue
 		}
-		if row, ok := bindTriple(w, cp, t, empty, scratch); ok {
-			rows = append(rows, row)
-			tags = append(tags, pos[t])
-			if max > 0 && len(rows) >= max {
-				break
+		for _, t := range ps.candidates {
+			if w.interrupted() {
+				return nil, nil
+			}
+			if !ps.matches(t) {
+				continue
+			}
+			if r, ok := bindTriple(w, cp, t, row, scratch); ok {
+				out = append(out, r)
+				tags = append(tags, int64(i)<<32|int64(pos[t]))
+				if max > 0 && len(out) >= max {
+					return out, tags
+				}
 			}
 		}
 	}
-	return rows, tags
+	return out, tags
 }
 
 // bindTriple extends base by binding cp's variable positions to t's
@@ -1054,7 +1123,7 @@ func (d *distEnv) pushdownBGP(cps []cPattern, max int) []slotRow {
 	}
 	nsh := len(d.ss.Views)
 	outs := make([][]slotRow, nsh)
-	tags := make([][]int32, nsh)
+	tags := make([][]int64, nsh)
 	covering := 0
 	d.forEachShard(
 		func(s int) bool {
@@ -1065,7 +1134,7 @@ func (d *distEnv) pushdownBGP(cps []cPattern, max int) []slotRow {
 			return true
 		},
 		func(s int, w *evalEnv) {
-			outs[s], tags[s] = d.runShardOp(s, opClassPushdown, w, func(w *evalEnv) ([]slotRow, []int32) {
+			outs[s], tags[s] = d.runShardOp(s, opClassPushdown, w, func(w *evalEnv) ([]slotRow, []int64) {
 				return pushdownShard(w, cps, d.ss.Pos, max)
 			})
 		})
@@ -1092,7 +1161,7 @@ func (d *distEnv) pushdownBGP(cps []cPattern, max int) []slotRow {
 // indexes hold — so rows within a tag are already in single-graph
 // order, and tags ascend across the list. max > 0 stops the loop once
 // that many rows exist (the last seed may overshoot; callers truncate).
-func pushdownShard(w *evalEnv, cps []cPattern, pos map[rdf.EncodedTriple]int32, max int) ([]slotRow, []int32) {
+func pushdownShard(w *evalEnv, cps []cPattern, pos map[rdf.EncodedTriple]int32, max int) ([]slotRow, []int64) {
 	empty := w.emptyRow()
 	scratch := w.emptyRow()
 	ps := w.preparePatternScan(cps[0], empty)
@@ -1100,7 +1169,7 @@ func pushdownShard(w *evalEnv, cps []cPattern, pos map[rdf.EncodedTriple]int32, 
 		return nil, nil
 	}
 	var rows []slotRow
-	var tags []int32
+	var tags []int64
 	var cur, next []slotRow
 	for _, t := range ps.candidates {
 		if w.interrupted() {
@@ -1130,7 +1199,7 @@ func pushdownShard(w *evalEnv, cps []cPattern, pos map[rdf.EncodedTriple]int32, 
 		if len(cur) == 0 {
 			continue
 		}
-		tag := pos[t]
+		tag := int64(pos[t])
 		for _, r := range cur {
 			rows = append(rows, r)
 			tags = append(tags, tag)
@@ -1143,10 +1212,12 @@ func pushdownShard(w *evalEnv, cps []cPattern, pos map[rdf.EncodedTriple]int32, 
 }
 
 // mergeTagged k-way merges per-shard row lists by their ascending
-// global-position tags, charging the gather buffer against the run's
-// budget. A triple lives on exactly one shard, so tags never collide
-// across lists and the merge is total and deterministic.
-func mergeTagged(env *evalEnv, outs [][]slotRow, tags [][]int32) []slotRow {
+// merge keys, charging the gather buffer against the run's budget. A
+// key is a global triple position (pushdown: the seed triple's) or, on
+// scatter-gather, (input row << 32 | position). A triple lives on
+// exactly one shard, so keys never collide across lists and the merge
+// is total and deterministic.
+func mergeTagged(env *evalEnv, outs [][]slotRow, tags [][]int64) []slotRow {
 	total := 0
 	nonEmpty := -1
 	lists := 0
@@ -1177,7 +1248,7 @@ func mergeTagged(env *evalEnv, outs [][]slotRow, tags [][]int32) []slotRow {
 	idx := make([]int, len(outs))
 	for len(merged) < total {
 		best := -1
-		var bestTag int32
+		var bestTag int64
 		for s := range outs {
 			if idx[s] >= len(outs[s]) {
 				continue

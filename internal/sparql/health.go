@@ -54,12 +54,14 @@ const (
 	scoreErrPenalty = 4.0
 )
 
-// Op classes for the hedge-delay latency windows: scatter scans and
-// pushdown ops have very different cost profiles, so each class keeps
-// its own p95.
+// Op classes for the hedge-delay latency windows: scatter scans,
+// pushdown ops and bind probes have very different cost profiles, so
+// each class keeps its own p95 (short probes must not shrink the scan
+// class's hedge delay).
 const (
 	opClassScan = iota
 	opClassPushdown
+	opClassProbe
 	numOpClasses
 )
 
